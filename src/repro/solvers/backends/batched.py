@@ -61,6 +61,10 @@ from repro.obs import tracing as obs_tracing
 _ARMIJO_ALPHA = 0.1
 _ARMIJO_BETA = 0.5
 _MAX_BOUNDARY_FRACTION = 0.99
+#: A block is centered once its Newton decrement falls below this many
+#: units of its own barrier value ``|phi|``: below that, the Armijo test
+#: compares differences smaller than phi's rounding error.
+_PHI_ROUNDING = 16 * np.finfo(float).eps
 
 #: Blocks-per-batch histogram buckets (counts, not latencies).
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -193,45 +197,50 @@ class _BatchedGroup:
                 self.b[k, nE + nJ + nI :] = -rhs_y[blk.te][act]
 
     # ------------------------------------------------------------------
-    # Batched objective / barrier kernels
+    # Batched objective / barrier kernels.  ``k`` selects the blocks
+    # ``V`` holds (rows of the stacked arrays); every value is per
+    # block, so a subset evaluates bitwise as it would in the full batch.
     # ------------------------------------------------------------------
-    def f_value(self, V: np.ndarray) -> np.ndarray:
+    def f_value(self, V: np.ndarray, k: Any = slice(None)) -> np.ndarray:
         Vq = V[:, : self.q]
+        ref = self.ref[k]
         u = Vq + self.eps
-        lr = np.log1p((Vq - self.ref) / (self.ref + self.eps))
-        return (self.lin * V).sum(axis=1) + (self.w * (u * lr - Vq)).sum(axis=1)
+        lr = np.log1p((Vq - ref) / (ref + self.eps))
+        return (self.lin[k] * V).sum(axis=1) + (self.w[k] * (u * lr - Vq)).sum(axis=1)
 
-    def f_grad_hess(self, V: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    def f_grad_hess(
+        self, V: np.ndarray, k: Any = slice(None)
+    ) -> "tuple[np.ndarray, np.ndarray]":
         Vq = V[:, : self.q]
+        ref = self.ref[k]
         u = Vq + self.eps
-        lr = np.log1p((Vq - self.ref) / (self.ref + self.eps))
-        g = self.lin.copy()
-        g[:, : self.q] += self.w * lr
+        lr = np.log1p((Vq - ref) / (ref + self.eps))
+        g = self.lin[k].copy()
+        g[:, : self.q] += self.w[k] * lr
         h = np.zeros_like(V)
-        h[:, : self.q] += self.w / u
+        h[:, : self.q] += self.w[k] / u
         return g, h
 
-    def slacks(self, V: np.ndarray) -> np.ndarray:
-        return self.b - np.einsum("bmn,bn->bm", self.A, V)
+    def slacks(self, V: np.ndarray, k: Any = slice(None)) -> np.ndarray:
+        return self.b[k] - np.einsum("bmn,bn->bm", self.A[k], V)
 
-    def phi(self, V: np.ndarray, tau: float) -> np.ndarray:
+    def phi(self, V: np.ndarray, tau: float, k: Any = slice(None)) -> np.ndarray:
         """Barrier potential per block; +inf outside the interior."""
+        fin_ub = self.fin_ub[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            slack = self.slacks(V)
-            lo = V - self.lb
-            hi = np.where(self.fin_ub, self.ub - V, 1.0)
+            slack = self.slacks(V, k)
+            lo = V - self.lb[k]
+            hi = np.where(fin_ub, self.ub[k] - V, 1.0)
             bad = (
                 (slack <= 0).any(axis=1)
                 | (lo <= 0).any(axis=1)
                 | (hi <= 0).any(axis=1)
             )
             out = (
-                tau * self.f_value(V)
+                tau * self.f_value(V, k)
                 - np.log(np.maximum(slack, 1e-300)).sum(axis=1)
                 - np.log(np.maximum(lo, 1e-300)).sum(axis=1)
-                - np.where(self.fin_ub, np.log(np.maximum(hi, 1e-300)), 0.0).sum(
-                    axis=1
-                )
+                - np.where(fin_ub, np.log(np.maximum(hi, 1e-300)), 0.0).sum(axis=1)
             )
         out[bad] = np.inf
         return out
@@ -244,94 +253,106 @@ class _BatchedGroup:
         return ok
 
 
+@dataclass
+class _BarrierStats:
+    """Work done by one :func:`_batched_barrier` call, summed over blocks."""
+
+    newton_iters: int = 0  # block Newton steps
+    backtracks: int = 0  # block Armijo halvings
+    stalled_blocks: int = 0  # block stalls (line search or max_newton exhausted)
+
+
 def _batched_barrier(
     grp: _BatchedGroup, V0: np.ndarray, options
-) -> "tuple[np.ndarray, int]":
+) -> "tuple[np.ndarray, _BarrierStats]":
     """Shared path-following barrier over all blocks of a group.
 
-    One tau schedule drives every block; a block drops out of the
-    working set as soon as its own duality-gap bound ``m_total / tau``
-    clears the tolerance.  Returns ``(V, total Newton iterations)``;
-    raises :class:`_BatchSolveError` if any block stalls with a large
+    One tau schedule drives every block.  At each tau a block takes
+    Newton steps only until it is centered — its decrement below the
+    tau-scaled tolerance, or below the rounding level of its own
+    barrier value ``phi`` (past that point the Armijo test compares
+    differences that round away, so further steps only shrink towards
+    zero length) — and it drops out of the working set for good once
+    its duality-gap bound ``m_total / tau`` clears the tolerance.
+    Raises :class:`_BatchSolveError` if any block stalls with a large
     remaining gap (the slot then falls back to the coupled solve).
     """
     B = V0.shape[0]
     V = V0.copy()
     tau = options.barrier_t0
     done = np.zeros(B, dtype=bool)
-    stalled = np.zeros(B, dtype=bool)
-    iters = 0
+    stats = _BarrierStats()
+    n_diag = np.arange(grp.n)
 
     for _outer in range(200):
         work = ~done
         center_tol = 1e-9 * (1.0 + tau * 1e-4)
+        centered = done.copy()
+        stalled = np.zeros(B, dtype=bool)
         for _inner in range(options.max_newton):
-            idx = np.flatnonzero(work & ~stalled)
+            idx = np.flatnonzero(~centered & ~stalled)
             if idx.size == 0:
                 break
             Vw = V[idx]
-            slack = grp.b[idx] - np.einsum("bmn,bn->bm", grp.A[idx], Vw)
-            g_f, h_f = grp.f_grad_hess(V)
+            A = grp.A[idx]
+            lb, ub, fin_ub = grp.lb[idx], grp.ub[idx], grp.fin_ub[idx]
+            slack = grp.b[idx] - np.einsum("bmn,bn->bm", A, Vw)
+            g_f, h_f = grp.f_grad_hess(Vw, idx)
             d1 = 1.0 / slack
-            lo = Vw - grp.lb[idx]
+            lo = Vw - lb
             with np.errstate(divide="ignore"):
-                hi_inv = np.where(
-                    grp.fin_ub[idx], 1.0 / (grp.ub[idx] - Vw), 0.0
-                )
-            g = (
-                tau * g_f[idx]
-                + np.einsum("bmn,bm->bn", grp.A[idx], d1)
-                - 1.0 / lo
-                + hi_inv
-            )
-            diag = tau * h_f[idx] + 1.0 / (lo * lo) + hi_inv * hi_inv
-            M = grp.A[idx] * d1[:, :, None]
+                hi_inv = np.where(fin_ub, 1.0 / (ub - Vw), 0.0)
+            g = tau * g_f + np.einsum("bmn,bm->bn", A, d1) - 1.0 / lo + hi_inv
+            diag = tau * h_f + 1.0 / (lo * lo) + hi_inv * hi_inv
+            M = A * d1[:, :, None]
             H = np.matmul(M.transpose(0, 2, 1), M)
-            H[:, np.arange(grp.n), np.arange(grp.n)] += diag
+            H[:, n_diag, n_diag] += diag
             dv = np.linalg.solve(H, -g[..., None])[..., 0]
-            iters += idx.size
-            dec_sq = -(g * dv).sum(axis=1)
-            centered = dec_sq / 2.0 <= center_tol
-            if centered.all():
-                break
-            sel = np.flatnonzero(~centered)
+            stats.newton_iters += idx.size
+            half_dec = -(g * dv).sum(axis=1) / 2.0
+            phi0 = grp.phi(Vw, tau, idx)
+            floor = np.maximum(center_tol, _PHI_ROUNDING * np.abs(phi0))
+            at_center = half_dec <= floor
+            centered[idx[at_center]] = True
+            sel = np.flatnonzero(~at_center)
+            if sel.size == 0:
+                continue
             # Largest feasible step per block, then shared Armijo pass.
+            gidx = idx[sel]
+            Vs, dn, dec_sq = Vw[sel], dv[sel], 2.0 * half_dec[sel]
+            Adv = np.einsum("bmn,bn->bm", A[sel], dn)
             step = np.ones(sel.size)
-            Adv = np.einsum("bmn,bn->bm", grp.A[idx][sel], dv[sel])
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(Adv > 0, slack[sel] / Adv, np.inf)
                 step = np.minimum(step, ratio.min(axis=1) * _MAX_BOUNDARY_FRACTION)
-                dn = dv[sel]
-                lo_ratio = np.where(dn < 0, -(Vw[sel] - grp.lb[idx][sel]) / dn, np.inf)
+                lo_ratio = np.where(dn < 0, -lo[sel] / dn, np.inf)
                 step = np.minimum(step, lo_ratio.min(axis=1) * _MAX_BOUNDARY_FRACTION)
-                hi_gap = np.where(grp.fin_ub[idx][sel], grp.ub[idx][sel] - Vw[sel], np.inf)
+                hi_gap = np.where(fin_ub[sel], ub[sel] - Vs, np.inf)
                 hi_ratio = np.where(dn > 0, hi_gap / dn, np.inf)
                 step = np.minimum(step, hi_ratio.min(axis=1) * _MAX_BOUNDARY_FRACTION)
-            gidx = idx[sel]
-            phi0 = grp.phi(V, tau)[gidx]
-            need = np.ones(sel.size, dtype=bool)
-            trial = V[gidx].copy()
+            phi0 = phi0[sel]
+            need = np.arange(sel.size)
             for _bt in range(60):
-                trial[need] = V[gidx[need]] + step[need, None] * dv[sel[need]]
-                Vt = V.copy()
-                Vt[gidx] = trial
-                phi1 = grp.phi(Vt, tau)[gidx]
-                ok = need & (phi1 <= phi0 - _ARMIJO_ALPHA * step * dec_sq[sel])
-                V[gidx[ok]] = trial[ok]
-                need &= ~ok
-                if not need.any():
+                trial = Vs[need] + step[need, None] * dn[need]
+                phi1 = grp.phi(trial, tau, gidx[need])
+                ok = phi1 <= phi0[need] - _ARMIJO_ALPHA * step[need] * dec_sq[need]
+                V[gidx[need[ok]]] = trial[ok]
+                need = need[~ok]
+                if need.size == 0:
                     break
+                stats.backtracks += need.size
                 step[need] *= _ARMIJO_BETA
-                exhausted = need & (step <= 1e-14)
+                exhausted = step[need] <= 1e-14
                 if exhausted.any():
-                    stalled[gidx[exhausted]] = True
-                    need &= ~exhausted
-                    if not need.any():
+                    stalled[gidx[need[exhausted]]] = True
+                    need = need[~exhausted]
+                    if need.size == 0:
                         break
             else:  # pragma: no cover - 60 halvings always terminates
                 stalled[gidx[need]] = True
         else:
-            stalled[work & ~stalled] = True
+            stalled[~centered & ~stalled] = True
+        stats.stalled_blocks += int(np.count_nonzero(stalled))
 
         gap = grp.m_total / tau
         scale = 1.0 + np.abs(grp.f_value(V))
@@ -345,8 +366,7 @@ def _batched_barrier(
                     f"batched Newton stalled at tau={tau:.2e} (gap {gap:.2e})"
                 )
         if done.all():
-            return V, iters
-        stalled[:] = False
+            return V, stats
         tau *= options.barrier_mu
     raise _BatchSolveError("batched barrier exceeded the outer-iteration budget")
 
@@ -526,41 +546,43 @@ class BatchedNewtonBackend:
         span = obs_tracing.span("subproblem.solve")
         with span:
             v = np.empty(sub.n_vars)
-            newton_iters = 0
+            newton_iters = backtracks = stalled_blocks = 0
             warm_attempted = False
             warm_used = False
 
             # ---------------- closed-form star components -------------
+            # Runs every slot: edge-less tier-2 clouds are stars without
+            # edges and hold no Newton block, so their X comes from here
+            # even when no star edge exists.
             n_fast = int(np.count_nonzero(fast_e))
-            if n_fast:
-                with np.errstate(divide="ignore"):
-                    fy = np.exp(
-                        -np.divide(
-                            link_price,
-                            sub.weight_link,
-                            out=np.full(net.n_edges, np.inf),
-                            where=~handle.wy_zero,
-                        )
+            with np.errstate(divide="ignore"):
+                fy = np.exp(
+                    -np.divide(
+                        link_price,
+                        sub.weight_link,
+                        out=np.full(net.n_edges, np.inf),
+                        where=~handle.wy_zero,
                     )
-                    fX = np.exp(
-                        -np.divide(
-                            tier2_price,
-                            sub.weight_tier2,
-                            out=np.full(net.n_tier2, np.inf),
-                            where=~handle.wX_zero,
-                        )
+                )
+                fX = np.exp(
+                    -np.divide(
+                        tier2_price,
+                        sub.weight_tier2,
+                        out=np.full(net.n_tier2, np.inf),
+                        where=~handle.wX_zero,
                     )
-                ybar = (y_prev + cfg.eps2) * fy - cfg.eps2
-                y_fast = np.minimum(np.maximum(lam_e, ybar), ub_y)
-                s_fast = np.where(fast_e, lam_e, 0.0)
-                D = net.aggregate_tier2(s_fast)
-                if bool(np.any((D >= ub_X) & fast_i)):
-                    return bail("star_cloud_at_capacity")
-                xbar = (X_prev + cfg.epsilon) * fX - cfg.epsilon
-                X_fast = np.minimum(np.maximum(D, xbar), ub_X)
-                v[sub.sl_X] = np.where(fast_i, X_fast, 0.0)
-                v[sub.sl_y] = np.where(fast_e, y_fast, 0.0)
-                v[sub.sl_s] = s_fast
+                )
+            ybar = (y_prev + cfg.eps2) * fy - cfg.eps2
+            y_fast = np.minimum(np.maximum(lam_e, ybar), ub_y)
+            s_fast = np.where(fast_e, lam_e, 0.0)
+            D = net.aggregate_tier2(s_fast)
+            if bool(np.any((D >= ub_X) & fast_i)):
+                return bail("star_cloud_at_capacity")
+            xbar = (X_prev + cfg.epsilon) * fX - cfg.epsilon
+            X_fast = np.minimum(np.maximum(D, xbar), ub_X)
+            v[sub.sl_X] = np.where(fast_i, X_fast, 0.0)
+            v[sub.sl_y] = np.where(fast_e, y_fast, 0.0)
+            v[sub.sl_s] = s_fast
 
             # ---------------- batched Newton components ---------------
             batch_sizes: "list[int]" = []
@@ -613,8 +635,10 @@ class BatchedNewtonBackend:
                     )
                 try:
                     for grp, V0 in solved:
-                        V, iters = _batched_barrier(grp, V0, options)
-                        newton_iters += iters
+                        V, stats = _batched_barrier(grp, V0, options)
+                        newton_iters += stats.newton_iters
+                        backtracks += stats.backtracks
+                        stalled_blocks += stats.stalled_blocks
                         batch_sizes.append(len(grp.blocks))
                         nI, nE = grp.nI, grp.nE
                         for k, blk in enumerate(grp.blocks):
@@ -667,6 +691,18 @@ class BatchedNewtonBackend:
                     help="Newton iterations inside batched block solves",
                     backend=self.name,
                 ).inc(newton_iters)
+            if backtracks:
+                reg.counter(
+                    "backend_backtracks_total",
+                    help="Armijo halvings inside batched block solves, per block",
+                    backend=self.name,
+                ).inc(backtracks)
+            if stalled_blocks:
+                reg.counter(
+                    "backend_stalled_blocks_total",
+                    help="batched blocks whose Newton centering stalled at a tau",
+                    backend=self.name,
+                ).inc(stalled_blocks)
             for size in batch_sizes:
                 reg.histogram(
                     "backend_batch_size",

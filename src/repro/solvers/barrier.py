@@ -11,11 +11,40 @@ classic path following (Boyd & Vandenberghe, ch. 11): minimize
 
 by damped Newton steps for increasing :math:`\\tau`.  Because the
 objective Hessian is diagonal, each Newton system is
-``diag(h) + A^T D A`` with ``D`` diagonal.  At the problem sizes this
-library solves thousands of times (n in the low hundreds) dense BLAS
-beats sparse kernels by an order of magnitude, so the constraint
-matrix is densified up to a size threshold (hpc guide: measured, not
-guessed; see ``benchmarks/test_ablation_solvers.py``).
+``diag(h) + A^T D A`` with ``D`` diagonal.
+
+Dense or sparse Newton is chosen once per program from the structure
+of ``A`` (:func:`_dense_newton_wins`): a dense step costs
+``n^2 (2m + n/3)`` flops (the ``A^T D A`` GEMM plus ``potrf``) whatever
+the sparsity, while a sparse step costs a fixed ~0.1-0.2 ms of
+CSC/SuperLU setup plus work proportional to the ``A_ki A_kj`` entry
+products and to the ``A^T D A`` pattern's factorization work
+(``nnz(H)^2 / n``).  Measured per Newton step (median of 3) on a
+2-vCPU x86 VM with numpy's OpenBLAS at its default two threads; in
+parentheses ``OPENBLAS_NUM_THREADS=1``:
+
+====================  ===  ===  =========  ==================  ==============  ======
+program                 m    n  nnz(A)/mn  dense               sparse          picked
+====================  ===  ===  =========  ==================  ==============  ======
+paper k=2, 6 x 12      46   54      4.9 %  0.09 ms (0.08)      0.22 ms (0.21)  dense
+paper k=2, 12 x 24     95  108      3.2 %  0.23 ms (0.22)      0.40 ms (0.32)  dense
+geo k=2, 3 x 3 x 8     90  105      2.9 %  0.16 ms (0.26)      0.22 ms (0.40)  dense
+geo k=2, 4 x 3 x 6     96  108      3.2 %  0.28-3.9 ms (0.31)  0.26 ms (0.37)  sparse
+geo k=2, 5 x 3 x 6    121  135      2.9 %  15.2 ms (0.41)      0.40 ms (0.37)  sparse
+geo k=2, 6 x 3 x 8    180  210      1.9 %  14.0 ms (1.10)      0.77 ms (0.66)  sparse
+geo k=2, 12 x 3 x 10  432  516      1.0 %  22.7 ms (8.4)       1.50 ms (1.37)  sparse
+====================  ===  ===  =========  ==================  ==============  ======
+
+(paper = ``make_instance`` tier-2 x tier-1; geo = ``generate_topology``
+regions x PoPs x edge clouds with regional SLAs; the last row is the
+``mesh-k2`` benchmark's coupled program.)  Dense wins only while its
+flop count is within the sparse path's fixed cost, a few 1e6 flops.
+Past that, the multi-threaded BLAS falls off a cliff on these small
+matrices — from ~0.2 ms to 12-16 ms per step once ``n`` passes ~108,
+intermittently right at 108 — and sparse wins by 10-40x; on one BLAS
+thread dense stays within ~1.5x of sparse up to ``n`` ~200.  Where
+the two disagree the rule leans sparse: a wrong sparse pick costs at
+most ~2.5x, a wrong dense pick up to ~40x.
 
 Hot-path structure (measured in ``benchmarks/perf/``): the barrier
 workspace is built once per program and cached on it — it precomputes
@@ -54,14 +83,32 @@ from repro.solvers.convex import (
     SolverOptions,
 )
 
-_DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
 # Sparse A^T D A structure reuse stores one entry per nonzero product
 # A_ki * A_kj; above this many the one-time memory cost outweighs the
 # per-iteration win and the plain sparse product is used instead.
 _TRIPLE_PRODUCT_PAIRS_THRESHOLD = 5_000_000
+# Sparse Newton step cost model in dense-flop equivalents (calibrated
+# against the table in the module docstring): a fixed CSC + SuperLU
+# setup cost plus this much per entry product / Cholesky pattern unit.
+_SPARSE_STEP_FLOPS = 2_000_000
+_SPARSE_FLOPS_PER_ENTRY = 100
 _MAX_BOUNDARY_FRACTION = 0.99
 _ARMIJO_ALPHA = 0.1
 _ARMIJO_BETA = 0.5
+
+
+def _dense_newton_wins(m: int, n: int, pairs: int, nnz_h: int) -> bool:
+    """Whether a dense Newton step is expected to beat a sparse one.
+
+    ``pairs`` is the number of entry products ``A_ki A_kj`` (the sparse
+    assembly's work) and ``nnz_h`` the size of the ``A^T D A`` pattern,
+    whose ``nnz_h^2 / n`` approximates the sparse Cholesky's work.
+    """
+    dense_flops = n * n * (2.0 * m + n / 3.0)
+    sparse_flops = _SPARSE_STEP_FLOPS + _SPARSE_FLOPS_PER_ENTRY * (
+        pairs + nnz_h * nnz_h / max(n, 1)
+    )
+    return dense_flops <= sparse_flops
 
 
 class _Workspace:
@@ -75,11 +122,22 @@ class _Workspace:
     the bound pattern must not change over the program's lifetime.
     """
 
-    def __init__(self, prog: SmoothConvexProgram, dense: "bool | None" = None) -> None:
+    def __init__(self, prog: SmoothConvexProgram) -> None:
         self.prog = prog
         m, n = prog.A.shape
-        self.dense = m * n <= _DENSE_NNZ_THRESHOLD if dense is None else bool(dense)
-        self.A = prog.A.toarray() if self.dense else prog.A.tocsr()
+        A_csr = prog.A.tocsr()
+        pairs = int((np.diff(A_csr.indptr).astype(np.int64) ** 2).sum())
+        # The sparse estimate grows with the A^T D A pattern, so a program
+        # that is dense even at an empty pattern skips the expansion.
+        triple = None
+        self.dense = _dense_newton_wins(m, n, pairs, 0)
+        if not self.dense:
+            triple = self._compile_triple_product(A_csr, n)
+            # Without the expansion (too many pairs) bound the pattern by
+            # its definition: one entry per pair, plus the diagonal.
+            nnz_h = triple["nnz"] if triple is not None else min(pairs + n, n * n)
+            self.dense = _dense_newton_wins(m, n, pairs, nnz_h)
+        self.A = prog.A.toarray() if self.dense else A_csr
         self.b = prog.b
         self.fin_lb = np.isfinite(prog.lb)
         self.fin_ub = np.isfinite(prog.ub)
@@ -122,7 +180,7 @@ class _Workspace:
             self._triple = None
         else:
             self.AT = self.A.T.tocsr()
-            self._triple = self._compile_triple_product(self.A, n)
+            self._triple = triple
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -244,7 +302,8 @@ class _Workspace:
         """Newton direction for phi_tau at ``v``; returns (dv, decrement^2).
 
         ``fact_out`` is an optional one-element accumulator for the
-        seconds spent factorizing/solving the Newton system — supplied
+        seconds spent assembling, factorizing and solving the Newton
+        system (``A^T D A`` included) — supplied
         only while the metrics registry is enabled, so the disabled
         path pays no clock reads.
         """
@@ -274,6 +333,7 @@ class _Workspace:
             grad[self.idx_ub] += inv_ub
             hdiag[self.idx_ub] += inv_ub * inv_ub
 
+        fact_start = time.perf_counter() if fact_out is not None else 0.0
         if self.b.shape[0]:
             if slack is None:
                 slack = self.slacks(v)
@@ -310,7 +370,6 @@ class _Workspace:
             else:
                 H = sp.diags(hdiag).tocsc()
 
-        fact_start = time.perf_counter() if fact_out is not None else 0.0
         if self.dense:
             Hd = H.reshape(-1)
             diag = Hd[self._diag_flat]
@@ -326,7 +385,9 @@ class _Workspace:
                 raise ConvexSolverError(f"Cholesky solve failed (potrs info={info})")
         else:
             try:
-                dv = spla.spsolve(H, -grad)
+                # H is symmetric: a minimum-degree ordering on its own
+                # pattern factors ~20% faster than the default COLAMD.
+                dv = spla.spsolve(H, -grad, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # pragma: no cover - rare
                 raise ConvexSolverError(f"sparse Newton solve failed: {exc}") from exc
         if fact_out is not None:
@@ -385,15 +446,10 @@ class _Workspace:
 
 
 def _workspace(prog: SmoothConvexProgram) -> _Workspace:
-    """The program's cached barrier workspace, built on first use.
-
-    Rebuilt if the dense/sparse decision changes (the threshold is
-    module state so tests can force the sparse path)."""
-    m, n = prog.A.shape
-    want_dense = m * n <= _DENSE_NNZ_THRESHOLD
+    """The program's cached barrier workspace, built on first use."""
     ws = prog._barrier_ws
-    if ws is None or ws.dense != want_dense:
-        ws = _Workspace(prog, dense=want_dense)
+    if ws is None:
+        ws = _Workspace(prog)
         prog._barrier_ws = ws
     return ws
 

@@ -18,6 +18,7 @@ from repro.evaluation.scale import ExperimentScale
 from repro.model import Allocation, Cloud, CloudNetwork, SLAEdge
 from repro.model.costs import evaluate_cost
 from repro.model.feasibility import check_trajectory
+from repro.obs import metrics
 from repro.solvers.backends import (
     BatchedNewtonBackend,
     SequentialBackend,
@@ -25,6 +26,9 @@ from repro.solvers.backends import (
     available_backends,
     get_backend,
 )
+from repro.solvers.backends.batched import _batched_barrier
+from repro.topology.generate import GeoTopologyConfig, generate_topology
+from repro.workloads.synthetic import diurnal_profile
 
 from conftest import make_instance, make_network
 
@@ -81,6 +85,46 @@ def mixed_network() -> CloudNetwork:
         SLAEdge(3, 4, 28.0, 0.7),
     ]
     return CloudNetwork(tier2, tier1, edges)
+
+
+def mesh_instance(
+    n_regions: int = 2,
+    pops_per_region: int = 3,
+    tier1_per_region: int = 4,
+    horizon: int = 6,
+    demand_scale: float = 1.0,
+    seed: int = 3,
+):
+    """k=2 regional multi-PoP geo instance (the coupled-mesh regime).
+
+    The default 2 x 3 x 4 topology (seed 11) has one edge-less PoP and
+    no star edge at all, so every cloud but that PoP is in a Newton
+    block.
+    """
+    topo = generate_topology(
+        GeoTopologyConfig(
+            n_regions=n_regions,
+            pops_per_region=pops_per_region,
+            tier1_per_region=tier1_per_region,
+            k=2,
+            regional_sla=True,
+            seed=11,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    volume = np.exp(rng.normal(0.0, 0.2, size=topo.n_tier1))
+    demand = np.column_stack(
+        [diurnal_profile(horizon, 1.0, 0.4, 24, j % 24) for j in range(topo.n_tier1)]
+    )
+    return topo.build_instance(demand_scale * volume * demand, price_seed=seed)
+
+
+def fallback_reasons(reg) -> "dict[str, float]":
+    return {
+        e["labels"]["reason"]: e["value"]
+        for e in reg.snapshot()["metrics"]
+        if e["name"] == "backend_sequential_fallbacks_total"
+    }
 
 
 class TestRegistry:
@@ -178,6 +222,107 @@ class TestGoldenEquivalence:
         assert "batched" in bat.run_stats.backends
         seq = RegularizedOnline(SubproblemConfig()).run(inst)
         assert "batched" not in seq.run_stats.backends
+
+
+class TestCoupledMesh:
+    """k=2 multi-PoP regional meshes: Newton blocks, no star edges."""
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3, 4), (4, 2, 3)], ids=["2x3x4", "4x2x3"]
+    )
+    def test_backends_agree(self, shape):
+        inst = mesh_instance(*shape)
+        seq, bat = run_both(inst)
+        assert_decision_identical(inst, seq, bat)
+        assert check_trajectory(inst, bat).ok
+
+    def test_edgeless_tier2_cloud_gets_closed_form_decay(self):
+        """An edge-less PoP holds no Newton block and no star edge; its
+        X must still be written, by the closed-form decay."""
+        inst = mesh_instance()
+        net = inst.network
+        edgeless = np.flatnonzero(np.bincount(net.edge_i, minlength=net.n_tier2) == 0)
+        assert edgeless.size == 1
+        sub = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
+        assert not sub._backend_handle.fast_e.any()
+        eps = sub.config.epsilon
+        prev = Allocation.zeros(net.n_edges)
+        with metrics.use() as reg:
+            for t in range(inst.horizon):
+                alloc, v = sub.backend.solve(
+                    sub._backend_handle,
+                    inst.workload[t],
+                    inst.tier2_price[t],
+                    inst.link_price[t],
+                    prev,
+                )
+                decay = np.exp(-inst.tier2_price[t] / sub.weight_tier2)
+                X_prev = prev.tier2_totals(net)
+                expected = np.clip(
+                    (X_prev + eps) * decay - eps, 0.0, net.tier2_capacity
+                )
+                np.testing.assert_array_equal(
+                    v[sub.sl_X][edgeless], expected[edgeless]
+                )
+                prev = alloc
+        assert fallback_reasons(reg) == {}
+
+    def test_warm_path_does_not_grind_at_rounding_floor(self, monkeypatch):
+        """Warm slots restart each block at tau = 1e3, where its |phi| is
+        ~2e8: phi's ulp (~3e-8) exceeds the fixed 1.1e-9 centering
+        tolerance.  Centering must stop at phi's rounding level instead
+        of halving every line search ~45 times until ``max_newton``
+        runs out (thousands of halvings on this instance)."""
+        import repro.solvers.backends.batched as batched_mod
+
+        calls = []
+
+        def recording(grp, V0, options):
+            V, stats = _batched_barrier(grp, V0, options)
+            calls.append((options.barrier_t0, stats))
+            return V, stats
+
+        monkeypatch.setattr(batched_mod, "_batched_barrier", recording)
+        inst = mesh_instance(horizon=12)
+        RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert any(t0 == 1e3 for t0, _ in calls)
+        newton = sum(stats.newton_iters for _, stats in calls)
+        backtracks = sum(stats.backtracks for _, stats in calls)
+        assert sum(stats.stalled_blocks for _, stats in calls) == 0
+        assert backtracks <= 0.05 * newton
+
+    def test_line_search_counters_published(self, monkeypatch):
+        """The batched line search's work lands in its own families,
+        summed exactly over every block solve."""
+        import repro.solvers.backends.batched as batched_mod
+
+        seen = []
+
+        def recording(grp, V0, options):
+            V, stats = _batched_barrier(grp, V0, options)
+            seen.append(stats)
+            return V, stats
+
+        monkeypatch.setattr(batched_mod, "_batched_barrier", recording)
+        inst = mesh_instance()
+        with metrics.use() as reg:
+            RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert fallback_reasons(reg) == {}
+        values = {
+            e["name"]: e["value"]
+            for e in reg.snapshot()["metrics"]
+            if e["labels"] == {"backend": "batched"} and "value" in e
+        }
+        assert seen
+        assert values["backend_fused_newton_iters_total"] == sum(
+            s.newton_iters for s in seen
+        )
+        assert values.get("backend_backtracks_total", 0) == sum(
+            s.backtracks for s in seen
+        )
+        assert values.get("backend_stalled_blocks_total", 0) == sum(
+            s.stalled_blocks for s in seen
+        )
 
 
 class TestObservability:

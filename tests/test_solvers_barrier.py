@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import repro.solvers.barrier as barrier_mod
+from repro.core.subproblem import RegularizedSubproblem, SubproblemConfig
+from repro.evaluation.experiments import make_instance as make_fig_instance
+from repro.evaluation.scale import ExperimentScale
+from repro.model import Allocation
 from repro.solvers import (
     ConvexSolverError,
     SeparableObjective,
@@ -12,6 +16,7 @@ from repro.solvers import (
 )
 from repro.solvers.barrier import _Workspace, barrier_solve
 from repro.solvers.convex import EntropicTerm
+from repro.topology.generate import GeoTopologyConfig, generate_topology
 
 
 def covering_program(n=5):
@@ -25,6 +30,16 @@ def covering_program(n=5):
     return SmoothConvexProgram(obj, A, b, np.zeros(n), np.full(n, 2.0))
 
 
+def slot_program(inst) -> SmoothConvexProgram:
+    """The instance's slot-0 P2 program."""
+    net = inst.network
+    sub = RegularizedSubproblem(net, SubproblemConfig())
+    return sub.build(
+        inst.workload[0], inst.tier2_price[0], inst.link_price[0],
+        Allocation.zeros(net.n_edges),
+    )
+
+
 class TestWorkspace:
     def test_dense_selected_for_small_problems(self):
         ws = _Workspace(covering_program())
@@ -35,11 +50,48 @@ class TestWorkspace:
         """Force the sparse code path and compare optima."""
         prog = covering_program()
         v_dense = barrier_solve(prog)
-        monkeypatch.setattr(barrier_mod, "_DENSE_NNZ_THRESHOLD", 0)
+        assert prog._barrier_ws.dense
+        monkeypatch.setattr(barrier_mod, "_dense_newton_wins", lambda *args: False)
+        prog = covering_program()
         v_sparse = barrier_solve(prog)
+        assert not prog._barrier_ws.dense
         assert prog.objective.value(v_sparse) == pytest.approx(
             prog.objective.value(v_dense), rel=1e-6
         )
+
+    def test_sparse_selected_for_mesh_shaped_program(self):
+        """k=2 regional mesh at n >= 500: A is ~1% dense, go sparse."""
+        topo = generate_topology(
+            GeoTopologyConfig(
+                n_regions=12, pops_per_region=3, tier1_per_region=10,
+                k=2, regional_sla=True, seed=11,
+            )
+        )
+        demand = np.random.default_rng(0).uniform(0.5, 1.5, size=(2, topo.n_tier1))
+        prog = slot_program(topo.build_instance(demand, price_seed=0))
+        assert prog.objective.n >= 500
+        ws = _Workspace(prog)
+        assert not ws.dense
+        assert ws._triple is not None
+
+    def test_dense_selected_for_paper_size_program(self):
+        scale = ExperimentScale(
+            n_tier2=6, n_tier1=12, horizon_wiki=24, horizon_worldcup=24, full=False
+        )
+        inst = make_fig_instance(scale, "wikipedia", k=2, seed=0)
+        prog = slot_program(inst)
+        assert prog.objective.n == 54
+        assert _Workspace(prog).dense
+
+    def test_dense_constraint_matrix_stays_dense(self):
+        """A fully dense A makes the sparse path pure overhead at any n."""
+        m, n = 300, 200
+        obj = SeparableObjective(
+            n, np.ones(n), [EntropicTerm(np.arange(n), 1.0, 0.1, np.zeros(n))]
+        )
+        A = -np.random.default_rng(0).uniform(0.5, 1.5, size=(m, n))
+        prog = SmoothConvexProgram(obj, A, -np.ones(m), np.zeros(n), np.full(n, 2.0))
+        assert _Workspace(prog).dense
 
     def test_phi_infinite_outside_interior(self):
         prog = covering_program()
