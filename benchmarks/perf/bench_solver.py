@@ -29,7 +29,11 @@ The ``batched`` scenarios time the ``--backend batched`` solver layer
 Newton, see docs/SOLVER_BACKENDS.md) against the ``sequential``
 reference on the same instance, and record the residual decision gap
 alongside the speedup.  ``batched-k2-parity`` pins the k=2 fallback
-case, where the two backends are bitwise identical.
+case, where the two backends are bitwise identical.  ``batched-mesh``
+runs a k=2 regional multi-PoP mesh (the geo generator with
+``regional_sla=True``): many same-shape Newton blocks whose peak slots
+need a per-block phase-I start; its record counts the slots the batched
+backend routed to the coupled solve (``coupled_fallbacks``, expected 0).
 
 The ``cache-cold`` / ``cache-warm`` scenarios measure the persistent
 cross-run solver cache (``--cache``, :mod:`repro.cache`): each repeat
@@ -128,11 +132,66 @@ def bench_trajectory(
 # ----------------------------------------------------------------------
 # Backend scenario: sequential vs batched per-slot solve strategy
 # ----------------------------------------------------------------------
+def fig_instance(scale, workload: str, k: int) -> "tuple[object, dict]":
+    """The figure experiments' instance and its record description."""
+    from repro.evaluation.experiments import make_instance
+
+    horizon = scale.horizon_wiki if workload == "wikipedia" else scale.horizon_worldcup
+    return make_instance(scale, workload, k=k), {
+        "workload": workload,
+        "scale": {
+            "n_tier2": scale.n_tier2,
+            "n_tier1": scale.n_tier1,
+            "horizon": horizon,
+            "k": k,
+        },
+    }
+
+
+def mesh_instance(
+    n_regions: int, pops_per_region: int, tier1_per_region: int,
+    horizon: int, seed: int,
+) -> "tuple[object, dict]":
+    """k=2 regional multi-PoP geo mesh (topology seed 11) with diurnal
+    demand and prices drawn from ``seed``, and its record description."""
+    from repro.topology.generate import GeoTopologyConfig, generate_topology
+    from repro.workloads.synthetic import diurnal_profile
+
+    topo = generate_topology(
+        GeoTopologyConfig(
+            n_regions=n_regions,
+            pops_per_region=pops_per_region,
+            tier1_per_region=tier1_per_region,
+            k=2,
+            regional_sla=True,
+            seed=11,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    volume = np.exp(rng.normal(0.0, 0.2, size=topo.n_tier1))
+    demand = np.column_stack(
+        [diurnal_profile(horizon, 1.0, 0.4, 24, j % 24) for j in range(topo.n_tier1)]
+    )
+    instance = topo.build_instance(volume * demand, price_seed=seed)
+    return instance, {
+        "workload": "geo-mesh",
+        "scale": {
+            "n_regions": n_regions,
+            "pops_per_region": pops_per_region,
+            "tier1_per_region": tier1_per_region,
+            "n_tier2": topo.n_tier2,
+            "n_tier1": topo.n_tier1,
+            "horizon": horizon,
+            "k": 2,
+            "seed": seed,
+        },
+    }
+
+
 def bench_backend(
     name: str,
-    scale,
-    workload: str,
-    k: int,
+    instance,
+    description: dict,
     epsilon: float,
     repeats: int,
 ) -> dict:
@@ -142,15 +201,14 @@ def bench_backend(
     numerical paths (closed-form stars + batched Newton vs the coupled
     barrier), so alongside wall time the scenario records the maximum
     relative decision deviation (tier-2 totals, link allocations, total
-    cost) — the equivalence contract from docs/SOLVER_BACKENDS.md.
+    cost) — the equivalence contract from docs/SOLVER_BACKENDS.md — and
+    how many slots the batched backend handed to the coupled solve.
     """
     from repro.core.online import RegularizedOnline
     from repro.core.subproblem import SubproblemConfig
-    from repro.evaluation.experiments import make_instance
     from repro.evaluation.runner import run_algorithm
     from repro.model.costs import evaluate_cost
 
-    instance = make_instance(scale, workload, k=k)
     net = instance.network
 
     def measure(backend: str) -> "tuple[dict, object]":
@@ -164,6 +222,11 @@ def bench_backend(
 
     sequential, traj_seq = measure("sequential")
     batched, traj_bat = measure("batched")
+    # A slot the batched path served records a "batched" solve; a slot
+    # it routed to the coupled solve records the barrier's name instead.
+    coupled_fallbacks = sum(
+        "batched" not in step.backends for step in traj_bat.run_stats.steps
+    )
 
     def rel_gap(a, b):
         a, b = np.asarray(a, float), np.asarray(b, float)
@@ -175,19 +238,12 @@ def bench_backend(
         "name": name,
         "kind": "backend",
         "algorithm": "RegularizedOnline",
-        "workload": workload,
-        "scale": {
-            "n_tier2": scale.n_tier2,
-            "n_tier1": scale.n_tier1,
-            "horizon": scale.horizon_wiki
-            if workload == "wikipedia"
-            else scale.horizon_worldcup,
-            "k": k,
-        },
+        **description,
         "epsilon": epsilon,
         "repeats": repeats,
         "sequential": sequential,
         "batched": batched,
+        "coupled_fallbacks": coupled_fallbacks,
         "speedup": round(
             sequential["wall_time_s"] / batched["wall_time_s"], 3
         ),
@@ -370,8 +426,19 @@ def run(repeats: int, smoke: bool) -> dict:
     ]
     scenarios.append(
         bench_backend(
-            "batched", tiny if smoke else ExperimentScale.from_env(),
-            "wikipedia", k=1, epsilon=1e-2, repeats=1 if smoke else repeats,
+            "batched",
+            *fig_instance(tiny if smoke else ExperimentScale.from_env(), "wikipedia", k=1),
+            epsilon=1e-2, repeats=1 if smoke else repeats,
+        )
+    )
+    # k=2 regional mesh: at smoke 2 regions x 3 PoPs x 6 edge clouds,
+    # otherwise the 12 x 3 x 10 mesh; 24 slots each, with peak slots
+    # whose interior candidate overloads a PoP.
+    scenarios.append(
+        bench_backend(
+            "batched-mesh",
+            *mesh_instance(*((2, 3, 6) if smoke else (12, 3, 10)), horizon=24, seed=3),
+            epsilon=1e-2, repeats=1 if smoke else repeats,
         )
     )
     # Persistent-cache scenarios: tiny at smoke, the default scale
@@ -394,8 +461,9 @@ def run(repeats: int, smoke: bool) -> dict:
         # decision gaps are exactly zero (bitwise fallback).
         scenarios.append(
             bench_backend(
-                "batched-k2-parity", ExperimentScale.from_env(),
-                "wikipedia", k=2, epsilon=1e-2, repeats=repeats,
+                "batched-k2-parity",
+                *fig_instance(ExperimentScale.from_env(), "wikipedia", k=2),
+                epsilon=1e-2, repeats=repeats,
             )
         )
     return {
@@ -462,7 +530,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{sc['name']:8s} sequential {sc['sequential']['wall_time_s']:.3f}s"
                 f" -> batched {sc['batched']['wall_time_s']:.3f}s"
                 f"  ({sc['speedup']:.2f}x, decision gap X {gap['tier2_totals_rel']:.1e}"
-                f" y {gap['link_rel']:.1e} cost {gap['cost_rel']:.1e})"
+                f" y {gap['link_rel']:.1e} cost {gap['cost_rel']:.1e},"
+                f" coupled fallbacks {sc['coupled_fallbacks']})"
             )
         else:
             parts = ", ".join(

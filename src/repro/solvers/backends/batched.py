@@ -27,10 +27,13 @@ Two per-component execution paths:
   where the headline trajectory speedup comes from.
 
 * **Batched Newton** — remaining components are stacked by shape into
-  dense ``(B, m, n)`` block-diagonal KKT groups and driven down one
-  shared log-barrier path: one batched Cholesky-free ``solve`` per
+  dense ``(B, m, n)`` block-diagonal KKT groups and driven down the
+  log-barrier path together: one batched Cholesky-free ``solve`` per
   Newton step, one shared feasible-stepsize + Armijo backtracking pass
-  with per-block step lengths and convergence masks.
+  with per-block step lengths, convergence masks and barrier
+  parameters.  Each block starts from the interior candidate or, where
+  that is not interior, from its own phase-I point; blocks whose warm
+  start is interior begin further down the path.
 
 Structural analysis happens once in :meth:`BatchedNewtonBackend.compile`;
 per-slot variation (the hedging keep-pattern) reuses cached stacked
@@ -49,13 +52,14 @@ difference (the next slot's regularizers see only ``X`` and ``y``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
+from repro.solvers.convex import ConvexSolverError, phase1_lp
 
 #: Same line-search constants as the sequential barrier.
 _ARMIJO_ALPHA = 0.1
@@ -71,7 +75,14 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class _BatchSolveError(RuntimeError):
-    """Batched Newton could not certify a block; caller falls back."""
+    """Batched Newton could not certify a block; caller falls back.
+
+    ``reason`` is the fallback reason the slot is counted under.
+    """
+
+    def __init__(self, message: str, reason: str = "batched_newton_stalled") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +152,8 @@ class _BatchedGroup:
         self.b = np.zeros((B, m))
         self.lin = np.zeros((B, n))
         self.ref = np.empty((B, self.q))
+        # Per-block phase-I points, reused while strictly interior.
+        self.phase1 = np.full((B, n), np.nan)
 
         ub_X, ub_y, ub_s = ub_full[sl_X], ub_full[sl_y], ub_full[sl_s]
         r = np.arange(nE)
@@ -195,6 +208,26 @@ class _BatchedGroup:
             if self.ky:
                 act = self._active_y[k]
                 self.b[k, nE + nJ + nI :] = -rhs_y[blk.te][act]
+
+    def gather(self, X: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Stack global ``(X, y, s)`` vectors into per-block rows."""
+        nI, nE = self.nI, self.nE
+        V = np.empty((len(self.blocks), self.n))
+        for k, blk in enumerate(self.blocks):
+            V[k, :nI] = X[blk.ti]
+            V[k, nI : nI + nE] = y[blk.te]
+            V[k, nI + nE :] = s[blk.te]
+        return V
+
+    def scatter(
+        self, V: np.ndarray, X: np.ndarray, y: np.ndarray, s: np.ndarray
+    ) -> None:
+        """Write per-block rows back into global ``(X, y, s)`` in place."""
+        nI, nE = self.nI, self.nE
+        for k, blk in enumerate(self.blocks):
+            X[blk.ti] = V[k, :nI]
+            y[blk.te] = V[k, nI : nI + nE]
+            s[blk.te] = V[k, nI + nE :]
 
     # ------------------------------------------------------------------
     # Batched objective / barrier kernels.  ``k`` selects the blocks
@@ -252,6 +285,23 @@ class _BatchedGroup:
         ok &= np.where(self.fin_ub, self.ub - V > 0, True).all(axis=1)
         return ok
 
+    def cached_phase1(self, k: int) -> "np.ndarray | None":
+        """Block ``k``'s last phase-I point, if still comfortably interior.
+
+        Same reuse rule as :meth:`SmoothConvexProgram._interior_start`:
+        every row and finite bound keeps a slack above 1e-7 for the
+        current right-hand side.
+        """
+        v = self.phase1[k]
+        slack = np.concatenate(
+            [
+                self.b[k] - self.A[k] @ v,
+                v - self.lb[k],
+                (self.ub[k] - v)[self.fin_ub[k]],
+            ]
+        )
+        return v.copy() if slack.min() > 1e-7 else None  # NaN -> None
+
 
 @dataclass
 class _BarrierStats:
@@ -263,23 +313,27 @@ class _BarrierStats:
 
 
 def _batched_barrier(
-    grp: _BatchedGroup, V0: np.ndarray, options
+    grp: _BatchedGroup, V0: np.ndarray, tau0: np.ndarray, options
 ) -> "tuple[np.ndarray, _BarrierStats]":
     """Shared path-following barrier over all blocks of a group.
 
-    One tau schedule drives every block.  At each tau a block takes
-    Newton steps only until it is centered — its decrement below the
+    Block ``k`` starts at ``tau0[k]`` (warm-started blocks further down
+    the path than cold ones) and every block's tau grows by
+    ``barrier_mu`` per outer step.  At each tau a block takes Newton
+    steps only until it is centered — its decrement below the
     tau-scaled tolerance, or below the rounding level of its own
     barrier value ``phi`` (past that point the Armijo test compares
     differences that round away, so further steps only shrink towards
     zero length) — and it drops out of the working set for good once
-    its duality-gap bound ``m_total / tau`` clears the tolerance.
+    its duality-gap bound ``m_total / tau_k`` clears the tolerance.
     Raises :class:`_BatchSolveError` if any block stalls with a large
-    remaining gap (the slot then falls back to the coupled solve).
+    remaining gap, or (reason ``numerical``) if a Newton system is
+    singular or yields a non-finite step; the slot then falls back to
+    the coupled solve.
     """
     B = V0.shape[0]
     V = V0.copy()
-    tau = options.barrier_t0
+    tau = np.array(tau0, dtype=float)
     done = np.zeros(B, dtype=bool)
     stats = _BarrierStats()
     n_diag = np.arange(grp.n)
@@ -302,16 +356,26 @@ def _batched_barrier(
             lo = Vw - lb
             with np.errstate(divide="ignore"):
                 hi_inv = np.where(fin_ub, 1.0 / (ub - Vw), 0.0)
-            g = tau * g_f + np.einsum("bmn,bm->bn", A, d1) - 1.0 / lo + hi_inv
-            diag = tau * h_f + 1.0 / (lo * lo) + hi_inv * hi_inv
+            tw = tau[idx]
+            g = tw[:, None] * g_f + np.einsum("bmn,bm->bn", A, d1) - 1.0 / lo + hi_inv
+            diag = tw[:, None] * h_f + 1.0 / (lo * lo) + hi_inv * hi_inv
             M = A * d1[:, :, None]
             H = np.matmul(M.transpose(0, 2, 1), M)
             H[:, n_diag, n_diag] += diag
-            dv = np.linalg.solve(H, -g[..., None])[..., 0]
+            try:
+                dv = np.linalg.solve(H, -g[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise _BatchSolveError(
+                    f"batched Newton system: {exc}", reason="numerical"
+                ) from exc
+            if not bool(np.isfinite(dv).all()):
+                raise _BatchSolveError(
+                    "batched Newton step is not finite", reason="numerical"
+                )
             stats.newton_iters += idx.size
             half_dec = -(g * dv).sum(axis=1) / 2.0
-            phi0 = grp.phi(Vw, tau, idx)
-            floor = np.maximum(center_tol, _PHI_ROUNDING * np.abs(phi0))
+            phi0 = grp.phi(Vw, tw, idx)
+            floor = np.maximum(center_tol[idx], _PHI_ROUNDING * np.abs(phi0))
             at_center = half_dec <= floor
             centered[idx[at_center]] = True
             sel = np.flatnonzero(~at_center)
@@ -334,7 +398,7 @@ def _batched_barrier(
             need = np.arange(sel.size)
             for _bt in range(60):
                 trial = Vs[need] + step[need, None] * dn[need]
-                phi1 = grp.phi(trial, tau, gidx[need])
+                phi1 = grp.phi(trial, tau[gidx[need]], gidx[need])
                 ok = phi1 <= phi0[need] - _ARMIJO_ALPHA * step[need] * dec_sq[need]
                 V[gidx[need[ok]]] = trial[ok]
                 need = need[~ok]
@@ -359,16 +423,36 @@ def _batched_barrier(
         done |= work & (gap <= options.tol * scale)
         hard = work & stalled & ~done
         if hard.any():
-            if bool((gap <= 1e3 * options.tol * scale[hard]).all()):
+            if bool((gap[hard] <= 1e3 * options.tol * scale[hard]).all()):
                 done[hard] = True  # late-path stall, gap already tiny
             else:
                 raise _BatchSolveError(
-                    f"batched Newton stalled at tau={tau:.2e} (gap {gap:.2e})"
+                    f"batched Newton stalled at tau={tau[hard].min():.2e}"
+                    f" (gap {gap[hard].max():.2e})"
                 )
         if done.all():
             return V, stats
         tau *= options.barrier_mu
     raise _BatchSolveError("batched barrier exceeded the outer-iteration budget")
+
+
+def _interior_candidate(
+    net: Any, lam_e: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Global ``(X, y, s)`` start, the coupled path's construction.
+
+    Each edge cloud's demand is spread over its SLA edges in proportion
+    to link capacity; links and tier-2 clouds sit halfway to capacity.
+    At peak load the spread can overload a tier-2 cloud, which is why
+    blocks fall back to their phase-I point.
+    """
+    link_sum = net.aggregate_tier1(net.edge_capacity)
+    share = net.edge_capacity / np.maximum(link_sum[net.edge_j], 1e-300)
+    floor = 1e-9 * (1.0 + net.edge_capacity)
+    s_c = np.maximum(lam_e * share * 1.02, floor)
+    y_c = 0.5 * (s_c + net.edge_capacity)
+    X_c = 0.5 * (net.aggregate_tier2(s_c) + net.tier2_capacity)
+    return X_c, y_c, s_c
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +600,7 @@ class BatchedNewtonBackend:
             keep_y = rhs_y > 0
 
         fast_i, fast_e = handle.fast_i, handle.fast_e
+        reg = obs_metrics.active()
 
         def bail(reason: str):
             return self._fallback(
@@ -588,65 +673,36 @@ class BatchedNewtonBackend:
             batch_sizes: "list[int]" = []
             if handle.blocks:
                 groups = self._groups_for(handle, keep_y)
-                # Interior candidate, same construction as the coupled
-                # path's warm-start heuristic, sliced per block.
-                link_sum = net.aggregate_tier1(net.edge_capacity)
-                share = net.edge_capacity / np.maximum(
-                    link_sum[net.edge_j], 1e-300
-                )
-                floor = 1e-9 * (1.0 + net.edge_capacity)
-                s_c = np.maximum(lam_e * share * 1.02, floor)
-                y_c = 0.5 * (s_c + net.edge_capacity)
-                X_c = 0.5 * (net.aggregate_tier2(s_c) + net.tier2_capacity)
-
+                cand = _interior_candidate(net, lam_e)
+                warm_parts = None
+                if warm is not None:
+                    warm_parts = (warm[sub.sl_X], warm[sub.sl_y], warm[sub.sl_s])
                 options = cfg.solver
-                warm_attempted = warm is not None and len(handle.blocks) > 0
-                all_warm = warm_attempted
-                solved: "list[tuple[_BatchedGroup, np.ndarray]]" = []
-                for grp in groups:
-                    grp.set_slot(
-                        lam, tier2_price, link_price, X_prev, y_prev, rhs_y
-                    )
-                    nI, nE = grp.nI, grp.nE
-                    V0 = np.empty((len(grp.blocks), grp.n))
-                    for k, blk in enumerate(grp.blocks):
-                        V0[k, :nI] = X_c[blk.ti]
-                        V0[k, nI : nI + nE] = y_c[blk.te]
-                        V0[k, nI + nE :] = s_c[blk.te]
-                    if not bool(grp.interior(V0).all()):
-                        return bail("no_interior_candidate")
-                    if warm is not None:
-                        W = np.empty_like(V0)
-                        for k, blk in enumerate(grp.blocks):
-                            W[k, :nI] = warm[sub.sl_X][blk.ti]
-                            W[k, nI : nI + nE] = warm[sub.sl_y][blk.te]
-                            W[k, nI + nE :] = warm[sub.sl_s][blk.te]
-                        blend = 0.9 * W + 0.1 * V0
-                        ok = grp.interior(blend)
-                        V0[ok] = blend[ok]
-                        warm_used |= bool(ok.any())
-                        all_warm &= bool(ok.all())
-                    else:
-                        all_warm = False
-                    solved.append((grp, V0))
-                if all_warm and options.backend == "barrier":
-                    options = replace(
-                        options, barrier_t0=max(options.barrier_t0, 1e3)
-                    )
+                t0_warm = options.barrier_t0
+                if options.backend == "barrier":
+                    t0_warm = max(t0_warm, 1e3)
+                warm_attempted = warm is not None
                 try:
-                    for grp, V0 in solved:
-                        V, stats = _batched_barrier(grp, V0, options)
+                    # Every group's start before any Newton work, so a
+                    # slot without a strict interior bails cheaply.
+                    solved = []
+                    for grp in groups:
+                        grp.set_slot(
+                            lam, tier2_price, link_price, X_prev, y_prev, rhs_y
+                        )
+                        V0, warm_ok = self._start(grp, cand, warm_parts, reg)
+                        warm_used |= bool(warm_ok.any())
+                        tau0 = np.where(warm_ok, t0_warm, options.barrier_t0)
+                        solved.append((grp, V0, tau0))
+                    for grp, V0, tau0 in solved:
+                        V, stats = _batched_barrier(grp, V0, tau0, options)
                         newton_iters += stats.newton_iters
                         backtracks += stats.backtracks
                         stalled_blocks += stats.stalled_blocks
                         batch_sizes.append(len(grp.blocks))
-                        nI, nE = grp.nI, grp.nE
-                        for k, blk in enumerate(grp.blocks):
-                            v[sub.sl_X][blk.ti] = V[k, :nI]
-                            v[sub.sl_y][blk.te] = V[k, nI : nI + nE]
-                            v[sub.sl_s][blk.te] = V[k, nI + nE :]
-                except _BatchSolveError:
-                    return bail("batched_newton_stalled")
+                        grp.scatter(V, v[sub.sl_X], v[sub.sl_y], v[sub.sl_s])
+                except _BatchSolveError as exc:
+                    return bail(exc.reason)
 
             # ---------------- post-hoc tier-2 hedge check --------------
             if keep_x is not None and bool(np.any(keep_x)):
@@ -672,7 +728,6 @@ class BatchedNewtonBackend:
                 warm_used=warm_used,
                 fallback=False,
             )
-        reg = obs_metrics.active()
         if reg is not None:
             reg.counter(
                 "backend_slots_total",
@@ -703,6 +758,14 @@ class BatchedNewtonBackend:
                     help="batched blocks whose Newton centering stalled at a tau",
                     backend=self.name,
                 ).inc(stalled_blocks)
+            if handle.blocks:
+                # The coupled path's rule; closed-form-only slots take
+                # no start point and count nothing.
+                reg.counter(
+                    "subproblem_warm_starts_total",
+                    help="warm-start outcomes per subproblem solve",
+                    outcome="cold" if warm is None else ("hit" if warm_used else "miss"),
+                ).inc()
             for size in batch_sizes:
                 reg.histogram(
                     "backend_batch_size",
@@ -711,6 +774,53 @@ class BatchedNewtonBackend:
                     backend=self.name,
                 ).observe(size)
         return sub.split(v, lam), v
+
+    # ------------------------------------------------------------------
+    def _start(
+        self,
+        grp: _BatchedGroup,
+        cand: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+        warm: "tuple[np.ndarray, np.ndarray, np.ndarray] | None",
+        reg: Any,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Strictly interior start per block, and which blocks are warm.
+
+        Each block starts from the interior candidate ``cand`` (global
+        ``(X, y, s)``) or, where that is not interior, from its own
+        phase-I point.  A block whose ``0.9 * warm + 0.1 * start`` blend
+        is interior starts from the blend instead and is marked warm.
+        Raises :class:`_BatchSolveError` (``no_interior_candidate``)
+        when a block has no strict interior.
+        """
+        V0 = grp.gather(*cand)
+        for k in np.flatnonzero(~grp.interior(V0)):
+            start = grp.cached_phase1(k)
+            if start is None:
+                if reg is not None:
+                    reg.counter(
+                        "backend_phase1_solves_total",
+                        help="phase-I LPs solved for batched blocks",
+                        backend=self.name,
+                    ).inc()
+                try:
+                    start = phase1_lp(grp.A[k], grp.b[k], grp.lb[k], grp.ub[k])
+                except ConvexSolverError as exc:
+                    raise _BatchSolveError(
+                        str(exc), reason="no_interior_candidate"
+                    ) from exc
+                grp.phase1[k] = start
+            V0[k] = start
+        if not bool(grp.interior(V0).all()):
+            raise _BatchSolveError(
+                "phase-I point not strictly interior",
+                reason="no_interior_candidate",
+            )
+        warm_ok = np.zeros(len(grp.blocks), dtype=bool)
+        if warm is not None:
+            blend = 0.9 * grp.gather(*warm) + 0.1 * V0
+            warm_ok = grp.interior(blend)
+            V0[warm_ok] = blend[warm_ok]
+        return V0, warm_ok
 
     # ------------------------------------------------------------------
     def _fallback(

@@ -462,49 +462,9 @@ class SmoothConvexProgram:
         cached = self._phase1_cache
         if cached is not None and self.residual(cached) < -1e-7:
             return cached.copy()
-        v = self._phase1_lp()
+        v = phase1_lp(self.A, self.b, self.lb, self.ub)
         self._phase1_cache = v
         return v.copy()
-
-    def _phase1_lp(self) -> np.ndarray:
-        """Strictly feasible point via a margin-maximizing LP (phase I)."""
-        from scipy.optimize import linprog
-
-        n = self.objective.n
-        m = self.A.shape[0]
-        # Variables [v, delta]: maximize delta s.t. Av + delta <= b,
-        # lb + delta <= v <= ub - delta (only where bounds are finite).
-        cols = []
-        rhs = []
-        if m:
-            cols.append(sp.hstack([self.A, sp.csr_matrix(np.ones((m, 1)))]))
-            rhs.append(self.b)
-        fin_lb = np.flatnonzero(np.isfinite(self.lb))
-        if fin_lb.size:
-            sel = sp.csr_matrix(
-                (-np.ones(fin_lb.size), (np.arange(fin_lb.size), fin_lb)),
-                shape=(fin_lb.size, n),
-            )
-            cols.append(sp.hstack([sel, sp.csr_matrix(np.ones((fin_lb.size, 1)))]))
-            rhs.append(-self.lb[fin_lb])
-        fin_ub = np.flatnonzero(np.isfinite(self.ub))
-        if fin_ub.size:
-            sel = sp.csr_matrix(
-                (np.ones(fin_ub.size), (np.arange(fin_ub.size), fin_ub)),
-                shape=(fin_ub.size, n),
-            )
-            cols.append(sp.hstack([sel, sp.csr_matrix(np.ones((fin_ub.size, 1)))]))
-            rhs.append(self.ub[fin_ub])
-        A_ub = sp.vstack(cols, format="csr")
-        b_ub = np.concatenate(rhs)
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        # Cap delta so the LP is bounded even for unbounded feasible sets.
-        bounds = [(None, None)] * n + [(0.0, 1e6)]
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success or res.x is None or res.x[-1] <= 0:
-            raise ConvexSolverError("phase-I failed to find a strictly interior point")
-        return np.asarray(res.x[:n], dtype=float)
 
     def _solve_trust_constr(
         self,
@@ -551,3 +511,55 @@ class SmoothConvexProgram:
         if not res.success and res.status not in (1, 2, 3):
             raise ConvexSolverError(f"trust-constr failed: {res.message}")
         return v
+
+
+def phase1_lp(
+    A: "sp.spmatrix | np.ndarray",
+    b: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> np.ndarray:
+    """Strictly feasible point of ``A v <= b, lb <= v <= ub`` (phase I).
+
+    Solves the margin-maximizing LP ``max delta`` s.t. every row and
+    every finite bound holds with slack ``delta``.  Raises
+    :class:`ConvexSolverError` when the best margin is ``<= 0``: the
+    feasible set then has no strict interior.
+    """
+    from scipy.optimize import linprog
+
+    A = sp.csr_matrix(A)
+    m, n = A.shape
+    # Variables [v, delta]: maximize delta s.t. Av + delta <= b,
+    # lb + delta <= v <= ub - delta (only where bounds are finite).
+    cols = []
+    rhs = []
+    if m:
+        cols.append(sp.hstack([A, sp.csr_matrix(np.ones((m, 1)))]))
+        rhs.append(b)
+    fin_lb = np.flatnonzero(np.isfinite(lb))
+    if fin_lb.size:
+        sel = sp.csr_matrix(
+            (-np.ones(fin_lb.size), (np.arange(fin_lb.size), fin_lb)),
+            shape=(fin_lb.size, n),
+        )
+        cols.append(sp.hstack([sel, sp.csr_matrix(np.ones((fin_lb.size, 1)))]))
+        rhs.append(-lb[fin_lb])
+    fin_ub = np.flatnonzero(np.isfinite(ub))
+    if fin_ub.size:
+        sel = sp.csr_matrix(
+            (np.ones(fin_ub.size), (np.arange(fin_ub.size), fin_ub)),
+            shape=(fin_ub.size, n),
+        )
+        cols.append(sp.hstack([sel, sp.csr_matrix(np.ones((fin_ub.size, 1)))]))
+        rhs.append(ub[fin_ub])
+    A_ub = sp.vstack(cols, format="csr")
+    b_ub = np.concatenate(rhs)
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    # Cap delta so the LP is bounded even for unbounded feasible sets.
+    bounds = [(None, None)] * n + [(0.0, 1e6)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success or res.x is None or res.x[-1] <= 0:
+        raise ConvexSolverError("phase-I failed to find a strictly interior point")
+    return np.asarray(res.x[:n], dtype=float)

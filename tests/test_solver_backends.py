@@ -277,19 +277,120 @@ class TestCoupledMesh:
 
         calls = []
 
-        def recording(grp, V0, options):
-            V, stats = _batched_barrier(grp, V0, options)
-            calls.append((options.barrier_t0, stats))
+        def recording(grp, V0, tau0, options):
+            V, stats = _batched_barrier(grp, V0, tau0, options)
+            calls.append((tau0, stats))
             return V, stats
 
         monkeypatch.setattr(batched_mod, "_batched_barrier", recording)
         inst = mesh_instance(horizon=12)
         RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
-        assert any(t0 == 1e3 for t0, _ in calls)
+        assert any((tau0 == 1e3).any() for tau0, _ in calls)
         newton = sum(stats.newton_iters for _, stats in calls)
         backtracks = sum(stats.backtracks for _, stats in calls)
         assert sum(stats.stalled_blocks for _, stats in calls) == 0
         assert backtracks <= 0.05 * newton
+
+    def test_peak_slots_need_no_coupled_fallback(self):
+        """Peak slots where the capacity-proportional candidate overloads
+        a PoP start those blocks from their own phase-I point instead of
+        re-solving the whole slot coupled."""
+        inst = mesh_instance(2, 3, 6, horizon=24, seed=3)
+        with metrics.use() as reg:
+            bat = RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert fallback_reasons(reg) == {}
+        seq = RegularizedOnline(SubproblemConfig()).run(inst)
+        assert_decision_identical(inst, seq, bat)
+        assert check_trajectory(inst, bat).ok
+        snap = reg.snapshot()["metrics"]
+        phase1 = [e for e in snap if e["name"] == "backend_phase1_solves_total"]
+        assert phase1 and phase1[0]["value"] > 0
+        warm = {
+            e["labels"]["outcome"]: e["value"]
+            for e in snap
+            if e["name"] == "subproblem_warm_starts_total"
+        }
+        assert warm.get("cold") == 1
+        assert sum(warm.values()) == inst.horizon and warm.get("hit", 0) > 0
+
+    def test_phase1_start_when_candidate_overloads_a_pop(self, monkeypatch):
+        """A block whose candidate violates ``s <= X`` (or X's capacity)
+        gets a strictly interior start from its phase-I LP."""
+        real = BatchedNewtonBackend._start
+        checked = []
+
+        def recording(self, grp, cand, warm, reg):
+            V_c = grp.gather(*cand)
+            bad = np.flatnonzero(~grp.interior(V_c))
+            if bad.size:
+                nI, nJ, nE = grp.nI, grp.nJ, grp.nE
+                rows_sx = np.s_[nE + nJ : nE + nJ + nI]
+                slack = grp.b[bad] - np.einsum("bmn,bn->bm", grp.A[bad], V_c[bad])
+                # Every other row holds; an s <= X row or X's cap fails.
+                assert (np.delete(slack, rows_sx, axis=1) > 0).all()
+                x_side = (slack[:, rows_sx] <= 1e-12).any(axis=1) | (
+                    V_c[bad, :nI] >= grp.ub[bad, :nI]
+                ).any(axis=1)
+                assert x_side.all()
+                V0, warm_ok = real(self, grp, cand, None, reg)
+                assert grp.interior(V0).all() and not warm_ok.any()
+                checked.append(bad.size)
+            return real(self, grp, cand, warm, reg)
+
+        monkeypatch.setattr(BatchedNewtonBackend, "_start", recording)
+        inst = mesh_instance(2, 3, 6, horizon=24, seed=3)
+        RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert checked
+
+    def test_partially_warm_group_starts_warm_blocks_at_1e3(self, monkeypatch):
+        """Blocks whose warm blend is interior start at tau = 1e3 even
+        when other blocks of the same group must start cold at tau = 1."""
+        import repro.solvers.backends.batched as batched_mod
+
+        real_start = BatchedNewtonBackend._start
+        blend_ok, tau0s = [], []
+
+        def start(self, grp, cand, warm, reg):
+            ok = np.zeros(len(grp.blocks), dtype=bool)
+            if warm is not None:
+                V0, _ = real_start(self, grp, cand, None, reg)
+                ok = grp.interior(0.9 * grp.gather(*warm) + 0.1 * V0)
+            blend_ok.append(ok)
+            return real_start(self, grp, cand, warm, reg)
+
+        def barrier(grp, V0, tau0, options):
+            tau0s.append(tau0)
+            return _batched_barrier(grp, V0, tau0, options)
+
+        monkeypatch.setattr(BatchedNewtonBackend, "_start", start)
+        monkeypatch.setattr(batched_mod, "_batched_barrier", barrier)
+        inst = mesh_instance(4, 2, 3)
+        with metrics.use() as reg:
+            RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert fallback_reasons(reg) == {}
+        assert len(tau0s) == len(blend_ok) == inst.horizon
+        assert any(ok.any() and not ok.all() for ok in blend_ok)
+        for ok, tau0 in zip(blend_ok, tau0s):
+            np.testing.assert_array_equal(tau0, np.where(ok, 1e3, 1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_regions=4, pops_per_region=2, tier1_per_region=3, demand_scale=1e6),
+            dict(horizon=1, demand_scale=1e4, seed=2),
+            dict(horizon=1, demand_scale=1e6, seed=3),
+        ],
+        ids=["4x2x3-1e6", "2x3x4-1e4-seed2", "2x3x4-1e6-seed3"],
+    )
+    def test_singular_newton_system_is_a_counted_fallback(self, kwargs):
+        """At large demand scales a block's Newton system goes singular
+        in floating point; the slot falls back instead of raising."""
+        inst = mesh_instance(**kwargs)
+        with metrics.use() as reg:
+            bat = RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert fallback_reasons(reg).get("numerical", 0) >= 1
+        seq = RegularizedOnline(SubproblemConfig()).run(inst)
+        assert_decision_identical(inst, seq, bat)
 
     def test_line_search_counters_published(self, monkeypatch):
         """The batched line search's work lands in its own families,
@@ -298,8 +399,8 @@ class TestCoupledMesh:
 
         seen = []
 
-        def recording(grp, V0, options):
-            V, stats = _batched_barrier(grp, V0, options)
+        def recording(grp, V0, tau0, options):
+            V, stats = _batched_barrier(grp, V0, tau0, options)
             seen.append(stats)
             return V, stats
 

@@ -11,7 +11,7 @@ from repro.solvers import (
     SolverOptions,
     first_order_certificate,
 )
-from repro.solvers.convex import EntropicTerm
+from repro.solvers.convex import EntropicTerm, phase1_lp
 
 
 def entropic_program(n=6, seed=0, tight=False):
@@ -164,6 +164,16 @@ class TestPhaseOne:
         prog = entropic_program(seed=7)
         v = prog._interior_start()
         assert prog.residual(v) < 0
+
+    def test_phase1_lp_takes_dense_rows(self):
+        # v0 + v1 <= 1, v >= 0: the max-margin point is strictly inside.
+        v = phase1_lp(np.ones((1, 2)), np.array([1.0]), np.zeros(2), np.full(2, np.inf))
+        assert v.min() > 0 and v.sum() < 1
+
+    def test_phase1_lp_rejects_empty_interior(self):
+        # v0 + v1 >= 2 with v <= 1: feasible only at (1, 1), margin 0.
+        with pytest.raises(ConvexSolverError, match="strictly interior"):
+            phase1_lp(-np.ones((1, 2)), np.array([-2.0]), np.zeros(2), np.ones(2))
 
     def test_infeasible_program_detected(self):
         n = 2
